@@ -270,7 +270,9 @@ def _lit(e):
 def metaphone_ctes(words: str = "mwords") -> str:
     """CTE chain ``<words>(term) -> mcodes(term, code)`` implementing
     double_metaphone_transform (primary code; empty code keeps the
-    term, so digit-bearing tokens pass through)."""
+    term, so digit-bearing tokens pass through). mcodes is
+    MATERIALIZED so a caller that reads it twice runs the recursive
+    walk once."""
     rows = _rows()
     e1 = _case(rows, lambda c, a, b, v: _lit(a), "NULL")
     e2 = _case(rows, lambda c, a, b, v: _lit(b), "NULL")
@@ -298,7 +300,7 @@ dmr AS (
               + (CASE WHEN ({e2}) IS NULL THEN 0 ELSE 1 END) AS nent
   FROM dmr WHERE i <= length(s) AND nent < 4
 ),
-mcodes AS (SELECT term,
+mcodes AS MATERIALIZED (SELECT term,
   CASE WHEN left(arg_max(prim, i), 4) = '' THEN term
        ELSE left(arg_max(prim, i), 4) END AS code
   FROM dmr GROUP BY term)

@@ -1535,7 +1535,9 @@ def _highlight_passages_sql(terms: list[str], k: int = 3,
     per-term fold over sorted terms becomes a left-assoc sum of
     COALESCE(...) pulls — adding +0.0f for absent terms is exact).
     Snippets are byte-assembled exactly like the engine (gap/<em>-hit
-    segments per hit, '...'-joined passages in offset order)."""
+    segments per hit, '...'-joined passages in offset order). topk and
+    surv are MATERIALIZED: DuckDB would otherwise re-run them at every
+    reference under the recursive walk."""
     inlist = ", ".join(f"'{t}'" for t in sorted(set(terms)))
     clause_sum = " + ".join(
         f"COALESCE(max(CASE WHEN term = '{t}' THEN sc END), 0)"
@@ -1554,7 +1556,7 @@ cs AS (SELECT per.doc_id, per.term,
               {_bm25_expr('per.tf', 'dl.dl', 'dfs.df')} AS sc
        FROM per JOIN dfs USING (term) JOIN dl USING (doc_id), stats s),
 scored AS (SELECT doc_id, {clause_sum} AS score FROM cs GROUP BY doc_id),
-topk AS (
+topk AS MATERIALIZED (
   SELECT d.doc_id AS doc_id, d.text AS text,
          CAST(row_number() OVER (ORDER BY score DESC, doc_id ASC)
               AS BIGINT) AS rank
@@ -1578,7 +1580,7 @@ tokpos AS (SELECT doc_id, i,
            FROM marked WHERE a),
 tokens AS (SELECT tp.doc_id, tp.tok_id, min(tp.i) AS s1, max(tp.i) AS e1
            FROM tokpos tp GROUP BY tp.doc_id, tp.tok_id),
-surv AS (SELECT tk.doc_id,
+surv AS MATERIALIZED (SELECT tk.doc_id,
                 lower(substr(t.text, tk.s1, tk.e1 - tk.s1 + 1)) AS term,
                 tk.s1, tk.e1,
                 row_number() OVER (PARTITION BY tk.doc_id
@@ -1760,7 +1762,11 @@ def _highlight_fvh_sql(phrase: list[str], k: int = 3,
     fragment grouping as precomputed-jump WITH RECURSIVE walks
     (each jump depends only on the current row, so both sequential
     scans unroll), integer boost sums, and byte-exact <b>-wrapped
-    fragment assembly."""
+    fragment assembly. topk, surv, minfo, djmp and flat are each read
+    by several later CTEs; DuckDB inlines a CTE at every reference, so
+    unmaterialized the plan re-ran both recursive walks and the
+    tokenization under them once per path and went out of memory at
+    sf0.01. MATERIALIZED changes only the evaluation, not the rows."""
     t1, t2 = phrase[0], phrase[1]
     margin = frag_char_size // 6
     return f"""
@@ -1784,7 +1790,7 @@ scored AS (
               / (CAST(s.sum_dl AS DOUBLE) / s.n_docs))) AS score
   FROM pf JOIN dl USING (doc_id), idf, stats s
 ),
-topk AS (
+topk AS MATERIALIZED (
   SELECT d.doc_id AS doc_id, d.text AS text,
          CAST(row_number() OVER (ORDER BY score DESC, doc_id ASC)
               AS BIGINT) AS rank
@@ -1808,7 +1814,7 @@ tokpos AS (SELECT doc_id, i,
            FROM marked WHERE a),
 tokens AS (SELECT tp.doc_id, tp.tok_id, min(tp.i) AS s1, max(tp.i) AS e1
            FROM tokpos tp GROUP BY tp.doc_id, tp.tok_id),
-surv AS (SELECT tk.doc_id,
+surv AS MATERIALIZED (SELECT tk.doc_id,
                 lower(substr(t.text, tk.s1, tk.e1 - tk.s1 + 1)) AS term,
                 tk.s1, tk.e1,
                 row_number() OVER (PARTITION BY tk.doc_id
@@ -1817,7 +1823,7 @@ surv AS (SELECT tk.doc_id,
          WHERE tk.e1 - tk.s1 + 1 <= 255
            AND lower(substr(t.text, tk.s1, tk.e1 - tk.s1 + 1))
                NOT IN {_STOPLIST}),
-minfo AS (SELECT doc_id, s0, e0, boost,
+minfo AS MATERIALIZED (SELECT doc_id, s0, e0, boost,
                  row_number() OVER (PARTITION BY doc_id
                                     ORDER BY s0 ASC, e0 DESC, boost DESC)
                    AS rid
@@ -1829,7 +1835,7 @@ minfo AS (SELECT doc_id, s0, e0, boost,
             UNION ALL
             SELECT doc_id, s1 - 1 AS s0, e1 AS e0, 1 AS boost
             FROM surv WHERE term = '{t1}')),
-djmp AS (SELECT a.doc_id, a.rid, min(b.rid) AS nxt
+djmp AS MATERIALIZED (SELECT a.doc_id, a.rid, min(b.rid) AS nxt
          FROM minfo a LEFT JOIN minfo b
            ON b.doc_id = a.doc_id AND b.rid > a.rid AND b.s0 >= a.e0
          GROUP BY a.doc_id, a.rid),
@@ -1841,7 +1847,7 @@ drec AS (
   FROM drec d JOIN djmp j ON j.doc_id = d.doc_id AND j.rid = d.rid
   WHERE j.nxt IS NOT NULL
 ),
-flat AS (SELECT d.doc_id, d.kidx, m.s0, m.e0, m.boost
+flat AS MATERIALIZED (SELECT d.doc_id, d.kidx, m.s0, m.e0, m.boost
          FROM drec d JOIN minfo m
            ON m.doc_id = d.doc_id AND m.rid = d.rid),
 maxk AS (SELECT doc_id, max(kidx) AS mk FROM flat GROUP BY doc_id),

@@ -46,6 +46,8 @@ def test_grouped_delta_roundtrip(groups):
 @settings(max_examples=150, deadline=None)
 @example('𝙰')  # U+1D670: category Lu with NO lowercase mapping — survives
 @example('឴')  # KHMER VOWEL INHERENT AQ: lone SA-class Mn token
+@example('⼀')  # U+2F00 KANGXI RADICAL ONE: Script=Han symbol, So
+@example('⺀')  # U+2E80 CJK RADICAL REPEAT: Script=Han symbol, So
 @given(st.text(max_size=300))
 def test_analyzer_terms_wellformed(text):
     from lucene_solr_ray.analysis.analyzer import token_terms
@@ -67,10 +69,15 @@ def test_analyzer_terms_wellformed(text):
         # lone SA-class combining marks like U+17B4 KHMER VOWEL INHERENT
         # AQ are category Mn (isalnum() False) yet legitimately tokens —
         # the reference's StandardTokenizer emits them identically.
-        from lucene_solr_ray.analysis.uax29 import SEA, _table
+        # ... and Script=Han symbols: the grammar's HanEx is
+        # \p{Script:Han}, not Han letters only, so radicals such as
+        # U+2F00 (category So, isalnum() False) are emitted as one
+        # <IDEOGRAPHIC> token each (StandardTokenizerImpl.jflex:59,190).
+        from lucene_solr_ray.analysis.uax29 import HAN, SEA, _table
         wb, _ = _table()
         cp = np.frombuffer(t.encode("utf-32-le"), dtype=np.uint32)
-        assert any(c.isalnum() for c in t) or (wb[cp] == SEA).all()
+        assert (any(c.isalnum() for c in t) or (wb[cp] == SEA).all()
+                or (wb[cp] == HAN).all())
         assert t == t.lower()
 
 
